@@ -7,11 +7,16 @@
  * request latency — while the benchmark time measures how fast
  * the discrete-event serving simulator itself runs (the compile
  * cache is warmed by the first iteration; steady-state iterations
- * are pure scheduling).
+ * are pure scheduling). BM_ServeStepWarm isolates the host cost
+ * of one warm step below the scheduler.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+
+#include "models/bucketing.h"
 #include "serving/cost_model.h"
 #include "serving/scheduler.h"
 #include "serving/trace.h"
@@ -154,6 +159,40 @@ BM_ServeSaturatedPaged(benchmark::State &state)
 BENCHMARK(BM_ServeSaturatedPaged)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
+
+/** Host cost of one warm serving step: ExecutorCostModel::stepMs
+ *  over a fixed mixed prefill + decode composition whose shapes
+ *  were compiled before the timed loop, grouped and ordered the
+ *  way a replica builds them. step_ns is the wall time per step;
+ *  sim_step_ms is the simulated step it returns. */
+void
+BM_ServeStepWarm(benchmark::State &state)
+{
+    models::BucketPolicy buckets;
+    std::vector<runtime::StepGroup> groups = {
+        {models::bucketedPrefillShapes(40, buckets), 1},
+        {models::bucketedDecodeShapes(72, buckets), 3},
+        {models::bucketedDecodeShapes(150, buckets), 2},
+        {models::bucketedDecodeShapes(300, buckets), 2}};
+    std::sort(groups.begin(), groups.end(),
+              [](const runtime::StepGroup &a,
+                 const runtime::StepGroup &b) {
+                  return a.shapes < b.shapes;
+              });
+    serving::ExecutorCostModel cost(gpt2Executor());
+    double step_ms = cost.stepMs(groups); // compiles the shapes
+    auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        step_ms = cost.stepMs(groups);
+        benchmark::DoNotOptimize(step_ms);
+    }
+    std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.counters["step_ns"] =
+        elapsed.count() / static_cast<double>(state.iterations());
+    state.counters["sim_step_ms"] = step_ms;
+}
+BENCHMARK(BM_ServeStepWarm);
 
 } // namespace
 

@@ -11,12 +11,17 @@
  * paired variants measure the event cores against each other
  * (Heap vs LegacyScan) and serial vs parallel replica stepping at
  * a size the O(n)-per-round legacy core can still finish quickly.
+ * BM_SweepRealStack serves the same trace shape on the compiled
+ * GPT-2 stack (ExecutorCostModel) instead of the analytic proxy,
+ * at a gap scaled to that stack's service rate, so its
+ * wall_req_per_s sits next to the headline's.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
+#include "models/bucketing.h"
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
 #include "serving/trace.h"
@@ -49,6 +54,11 @@ sweepTrace(int64_t num_requests)
     options.max_output_len = 16;
     return options;
 }
+
+/** Mean arrival gap for the real-stack sweep: ~85% of the GPT-2
+ *  fleet's measured service rate of ~59 req/s on this trace shape
+ *  (a 16 ms gap already diverges). */
+constexpr double kRealStackGapMs = 20.0;
 
 serving::FleetOptions
 sweepFleet(serving::FleetEventCore core, int64_t step_threads)
@@ -155,6 +165,56 @@ BENCHMARK(BM_SweepStepThreads)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+/** The sweep on the compiled GPT-2 stack: every step is costed by
+ *  LlmExecutor::step from compiled + simulated blocks. All bucket
+ *  shapes compile before the timed run, so it times serving with
+ *  warm steps only. The gap keeps the fleet near the headline's
+ *  load (the real stack serves far fewer simulated requests per
+ *  second than the analytic proxy). */
+void
+BM_SweepRealStack(benchmark::State &state)
+{
+    int64_t num_requests = state.range(0);
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    models::BucketPolicy buckets;
+    std::vector<runtime::StepGroup> all_shapes;
+    for (int64_t len : models::bucketBoundaries(buckets)) {
+        all_shapes.push_back(
+            {models::bucketedPrefillShapes(len, buckets), 1});
+        all_shapes.push_back(
+            {models::bucketedDecodeShapes(len, buckets), 1});
+    }
+    (void)executor.step(all_shapes);
+
+    serving::TraceOptions trace_options = sweepTrace(num_requests);
+    trace_options.mean_interarrival_ms = kRealStackGapMs;
+    serving::FleetResult result;
+    for (auto _ : state) {
+        serving::TraceGenerator trace(serving::TraceShape::Poisson,
+                                      trace_options);
+        serving::ExecutorCostModel cost(executor);
+        serving::FleetScheduler fleet(
+            sweepFleet(serving::FleetEventCore::Heap, 1), cost);
+        result = fleet.run(trace);
+    }
+    const serving::FleetMetrics &m = result.metrics;
+    state.counters["wall_req_per_s"] = benchmark::Counter(
+        static_cast<double>(num_requests) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+    state.counters["sim_req_per_s"] = m.servedRequestsPerSecond();
+    state.counters["completed"] =
+        static_cast<double>(m.completed);
+    state.counters["p99_ms"] = m.latencyPercentileMs(99.0);
+    state.counters["compiles"] =
+        static_cast<double>(executor.compileCount());
+}
+BENCHMARK(BM_SweepRealStack)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
 
 } // namespace
 

@@ -23,6 +23,19 @@ invocationOverheadMs(const hls::FpgaPlatform &platform,
 
 } // namespace
 
+CompiledBlock::CompiledBlock(compiler::CompileResult result,
+                             std::vector<sim::SimResult> group_sims)
+    : compile(std::move(result)), sims(std::move(group_sims))
+{
+    terms_.reserve(sims.size());
+    for (const auto &s : sims) {
+        terms_.push_back({s.cycles, sim::steadyIntervalCycles(s)});
+        deadlocked_ = deadlocked_ || s.deadlock || s.timed_out;
+        crossings_ += s.crossing_channels;
+        crossing_stall_cycles_ += s.crossing_stall_cycles;
+    }
+}
+
 double
 CompiledBlock::totalCycles() const
 {
@@ -35,36 +48,13 @@ CompiledBlock::totalCycles() const
 double
 CompiledBlock::batchedCycles(int64_t batch) const
 {
+    // The same expression as sim::batchedCycles, so a precomputed
+    // steady interval gives the same bits.
+    ST_CHECK(batch >= 1, "batch must be positive");
+    double extra = static_cast<double>(batch - 1);
     double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += sim::batchedCycles(s, batch);
-    return cycles;
-}
-
-bool
-CompiledBlock::deadlocked() const
-{
-    for (const auto &s : sims)
-        if (s.deadlock || s.timed_out)
-            return true;
-    return false;
-}
-
-int64_t
-CompiledBlock::crossings() const
-{
-    int64_t crossings = 0;
-    for (const auto &s : sims)
-        crossings += s.crossing_channels;
-    return crossings;
-}
-
-double
-CompiledBlock::crossingStallCycles() const
-{
-    double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += s.crossing_stall_cycles;
+    for (const auto &t : terms_)
+        cycles += t.fill_cycles + extra * t.steady_cycles;
     return cycles;
 }
 
@@ -97,16 +87,18 @@ LlmExecutor::block(const models::BlockShapes &shapes)
     }
 
     // Compile + simulate outside the lock so concurrent *distinct*
-    // shapes overlap (run() warms prefill and decode together).
+    // shapes overlap (resolve() fans misses out on the pool).
     ++compile_count_;
-    auto compiled = std::make_unique<CompiledBlock>();
+    std::unique_ptr<CompiledBlock> compiled;
     try {
         linalg::Graph graph =
             models::buildTransformerBlock(config_, shapes);
-        compiled->compile = compiler::compile(std::move(graph),
-                                              platform_, options_);
-        compiled->sims = sim::simulateAll(
-            compiled->compile.design.components);
+        compiler::CompileResult result =
+            compiler::compile(std::move(graph), platform_, options_);
+        std::vector<sim::SimResult> sims =
+            sim::simulateAll(result.design.components);
+        compiled = std::make_unique<CompiledBlock>(std::move(result),
+                                                   std::move(sims));
     } catch (...) {
         // Unblock waiters before propagating; they will retry the
         // compile themselves.
@@ -125,6 +117,32 @@ LlmExecutor::block(const models::BlockShapes &shapes)
     compiling_.erase(shapes);
     compile_done_.notify_all();
     return *pos->second;
+}
+
+std::vector<const CompiledBlock *>
+LlmExecutor::resolve(const std::vector<StepGroup> &groups)
+{
+    std::vector<const CompiledBlock *> out(groups.size(), nullptr);
+    std::vector<size_t> misses;
+    {
+        std::lock_guard<std::mutex> lock(cache_mutex_);
+        for (size_t i = 0; i < groups.size(); ++i) {
+            auto it = cache_.find(groups[i].shapes);
+            if (it != cache_.end())
+                out[i] = it->second.get();
+            else
+                misses.push_back(i);
+        }
+    }
+    // Entries are never evicted, so the pointers stay valid after
+    // the lock drops. Only misses pay for the pool.
+    if (!misses.empty())
+        support::ThreadPool::shared().run(
+            static_cast<int64_t>(misses.size()), [&](int64_t m) {
+                size_t i = misses[static_cast<size_t>(m)];
+                out[i] = &block(groups[i].shapes);
+            });
+    return out;
 }
 
 double
@@ -158,19 +176,15 @@ LlmExecutor::run(int64_t input_len, int64_t output_len)
     int64_t mid_kv = input_len + std::max<int64_t>(output_len / 2,
                                                    1);
 
-    // Warm the two block shapes of this request concurrently on
-    // the pool shared with the simulator's per-group parallelism
-    // (each block() below is then a cache hit).
-    const models::BlockShapes request_shapes[2] = {
-        models::prefillShapes(input_len),
-        models::decodeShapes(mid_kv)};
-    support::ThreadPool::shared().run(2, [&](int64_t i) {
-        (void)block(request_shapes[i]);
-    });
+    // Resolve both block shapes of this request at once: a warm
+    // request takes one cache lock, a cold one compiles its misses
+    // concurrently on the shared pool.
+    std::vector<const CompiledBlock *> blocks =
+        resolve({{models::prefillShapes(input_len), 1},
+                 {models::decodeShapes(mid_kv), 1}});
 
     // --- Prefill: one trigger per layer at seq = input length.
-    const CompiledBlock &prefill =
-        block(models::prefillShapes(input_len));
+    const CompiledBlock &prefill = *blocks[0];
     result.block_prefill_ms =
         prefill.totalCycles() / freq_hz * 1e3;
     result.deadlock |= prefill.deadlocked();
@@ -183,8 +197,7 @@ LlmExecutor::run(int64_t input_len, int64_t output_len)
         (result.block_prefill_ms + overhead_ms(1));
 
     // --- Decode: simulate at the run's mean context length.
-    const CompiledBlock &decode =
-        block(models::decodeShapes(mid_kv));
+    const CompiledBlock &decode = *blocks[1];
     result.block_decode_ms = decode.totalCycles() / freq_hz * 1e3;
     result.deadlock |= decode.deadlocked();
 
@@ -235,28 +248,37 @@ StepResult
 LlmExecutor::step(const std::vector<StepGroup> &groups)
 {
     ST_CHECK(!groups.empty(), "step needs at least one group");
+    int64_t total_seqs = 0;
+    bool ascending = true;
+    for (size_t i = 0; i < groups.size(); ++i) {
+        ST_CHECK(groups[i].count >= 1,
+                 "group count must be positive");
+        total_seqs += groups[i].count;
+        ascending = ascending &&
+                    (i == 0 || groups[i - 1].shapes < groups[i].shapes);
+    }
+    if (ascending)
+        return costSorted(groups, total_seqs);
 
     // Merge duplicate shapes so {{S,1},{S,1}} costs like {{S,2}}:
     // one pipeline fill plus steady intervals, one trigger, one
     // compile. Map order also makes the cost independent of the
     // caller's group order.
     std::map<models::BlockShapes, int64_t> merged;
-    int64_t total_seqs = 0;
-    for (const auto &g : groups) {
-        ST_CHECK(g.count >= 1, "group count must be positive");
+    for (const auto &g : groups)
         merged[g.shapes] += g.count;
-        total_seqs += g.count;
-    }
-    std::vector<models::BlockShapes> shapes;
-    shapes.reserve(merged.size());
+    std::vector<StepGroup> sorted;
+    sorted.reserve(merged.size());
     for (const auto &[s, count] : merged)
-        shapes.push_back(s);
+        sorted.push_back({s, count});
+    return costSorted(sorted, total_seqs);
+}
 
-    // Warm every shape of this step concurrently on the shared
-    // pool (each block() below is then a cache hit).
-    support::ThreadPool::shared().run(
-        static_cast<int64_t>(shapes.size()),
-        [&](int64_t i) { (void)block(shapes[i]); });
+StepResult
+LlmExecutor::costSorted(const std::vector<StepGroup> &groups,
+                        int64_t total_seqs)
+{
+    std::vector<const CompiledBlock *> blocks = resolve(groups);
 
     // Per layer, each group is one trigger: its batch streams
     // through the block pipeline back-to-back with the layer's
@@ -265,13 +287,14 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
     // step's sequences in flight.
     StepResult result;
     double freq_hz = platform_.freq_mhz * 1e6;
-    for (const auto &[s, count] : merged) {
-        const CompiledBlock &blk = block(s);
+    double overhead_ms = invocationOverheadMs(platform_, total_seqs);
+    for (size_t i = 0; i < groups.size(); ++i) {
+        const StepGroup &g = groups[i];
+        const CompiledBlock &blk = *blocks[i];
         result.deadlock = result.deadlock || blk.deadlocked();
-        result.kv_tokens += count * s.kv_len;
+        result.kv_tokens += g.count * g.shapes.kv_len;
         double trigger_ms =
-            blk.batchedCycles(count) / freq_hz * 1e3 +
-            invocationOverheadMs(platform_, total_seqs);
+            blk.batchedCycles(g.count) / freq_hz * 1e3 + overhead_ms;
         result.step_ms += config_.layers * trigger_ms;
         result.crossings += blk.crossings();
         result.crossing_stall_ms += config_.layers *

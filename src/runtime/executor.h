@@ -61,9 +61,16 @@ struct LlmRunResult
     double crossing_stall_ms = 0.0;
 };
 
-/** One compiled + simulated block shape. */
-struct CompiledBlock
+/** One compiled + simulated block shape. The per-group step terms
+ *  (fill and steady-interval cycles) and the block-wide crossing
+ *  and deadlock figures are derived from @p group_sims once, at
+ *  construction, so costing a warm step is arithmetic over them. */
+class CompiledBlock
 {
+  public:
+    CompiledBlock(compiler::CompileResult result,
+                  std::vector<sim::SimResult> group_sims);
+
     compiler::CompileResult compile;
     std::vector<sim::SimResult> sims;
 
@@ -71,19 +78,36 @@ struct CompiledBlock
     double totalCycles() const;
 
     /** Makespan of @p batch back-to-back triggers of this block
-     *  with weights resident (sim::batchedCycles per group). */
+     *  with weights resident: Σ over groups, in group order, of
+     *  cycles + (batch - 1) * steady interval — bit-identical to
+     *  summing sim::batchedCycles per group. @p batch >= 1. */
     double batchedCycles(int64_t batch) const;
 
     /** True when any group deadlocked or timed out (either way the
      *  simulated cycles are not a completed run). */
-    bool deadlocked() const;
+    bool deadlocked() const { return deadlocked_; }
 
     /** Inter-die channel crossings across the block's groups. */
-    int64_t crossings() const;
+    int64_t crossings() const { return crossings_; }
 
     /** Stall cycles attributed to inter-die channels across the
      *  block's groups (one trigger). */
-    double crossingStallCycles() const;
+    double crossingStallCycles() const
+    {
+        return crossing_stall_cycles_;
+    }
+
+  private:
+    /** One group's (sims[i].cycles, sim::steadyIntervalCycles). */
+    struct GroupTerms
+    {
+        double fill_cycles;
+        double steady_cycles;
+    };
+    std::vector<GroupTerms> terms_;
+    bool deadlocked_ = false;
+    int64_t crossings_ = 0;
+    double crossing_stall_cycles_ = 0.0;
 };
 
 /** One shape group of a serving step: @p count sequences whose
@@ -126,16 +150,19 @@ class LlmExecutor
     const hls::FpgaPlatform &platform() const { return platform_; }
 
     /** Compile (or fetch) the block at the given shapes.
-     *  Thread-safe: run() warms the prefill and decode entries
-     *  concurrently on the pool shared with the simulator
-     *  (support::ThreadPool::shared()). Concurrent calls for the
-     *  *same* shapes dedupe against an in-flight set: the first
-     *  caller compiles, later callers block until the entry lands,
-     *  so compileCount() counts unique shapes even under a
-     *  threaded warm race (pinned by the runtime suite). */
+     *  Thread-safe. Concurrent calls for the *same* shapes dedupe
+     *  against an in-flight set: the first caller compiles, later
+     *  callers block until the entry lands, so compileCount()
+     *  counts unique shapes even under a threaded warm race
+     *  (pinned by the runtime suite). Distinct shapes compile
+     *  concurrently (step() and run() fan their cache misses out
+     *  on support::ThreadPool::shared()). The returned reference
+     *  stays valid for the executor's lifetime. */
     const CompiledBlock &block(const models::BlockShapes &shapes);
 
-    /** Run one request end to end. */
+    /** Run one request end to end. Its prefill and decode blocks
+     *  resolve like step()'s: one cache lock, and only misses are
+     *  compiled (concurrently when both miss). */
     LlmRunResult run(int64_t input_len, int64_t output_len);
 
     /** First-token instant of a cold-start prefill gated on weight
@@ -158,8 +185,14 @@ class LlmExecutor
      *  trigger whose batch members stream back-to-back with
      *  weights resident (CompiledBlock::batchedCycles), so the
      *  weight-streaming cost that dominates decode amortises over
-     *  the batch. Warms all distinct shapes concurrently on the
-     *  shared pool before costing. */
+     *  the batch. Groups sharing a shape merge ({{S,1},{S,1}}
+     *  costs like {{S,2}}) and the result does not depend on group
+     *  order; groups already strictly ascending by shapes (as the
+     *  serving replica builds them) skip the merge. All shapes
+     *  resolve under one cache lock; only cache misses are
+     *  compiled, concurrently on the shared pool, so a step whose
+     *  shapes are all warm takes no pool dispatch and compiles
+     *  nothing. */
     StepResult step(const std::vector<StepGroup> &groups);
 
     /** Compiles performed so far (cache misses). Serving-bucket
@@ -168,6 +201,18 @@ class LlmExecutor
     int64_t compileCount() const { return compile_count_; }
 
   private:
+    /** Cost @p groups, which are strictly ascending by shapes, with
+     *  @p total_seqs sequences in flight. */
+    StepResult costSorted(const std::vector<StepGroup> &groups,
+                          int64_t total_seqs);
+
+    /** The block of each @p groups[i].shapes, in order: every
+     *  shape is looked up under one cache_mutex_ acquisition and
+     *  only the misses go through block(), fanned out on the
+     *  shared pool (a single miss compiles inline). */
+    std::vector<const CompiledBlock *>
+    resolve(const std::vector<StepGroup> &groups);
+
     models::LlmConfig config_;
     hls::FpgaPlatform platform_;
     compiler::CompileOptions options_;

@@ -336,12 +336,14 @@ ReplicaEngine::launchStep(double now)
     // current need fits it by the servability check.
     ST_ASSERT(!active_.empty(), "admission stalled");
 
-    // Group the batch by bucketed shapes (map order keeps the
-    // group sequence deterministic). An un-prefilled sequence
-    // runs a prefill-shaped pass over its full context —
-    // input_len for a fresh one, input_len + generated for a
-    // readmitted one recomputing its dropped KV.
-    std::map<models::BlockShapes, int64_t> shape_counts;
+    // Group the batch by bucketed shapes in a sorted vector:
+    // strictly ascending groups are a deterministic order, and
+    // LlmExecutor::step costs them without merging again. An
+    // un-prefilled sequence runs a prefill-shaped pass over its
+    // full context — input_len for a fresh one, input_len +
+    // generated for a readmitted one recomputing its dropped KV.
+    std::vector<runtime::StepGroup> groups;
+    groups.reserve(active_.size());
     for (const auto &seq : active_) {
         int64_t ctx = seq.req.input_len + seq.generated;
         models::BlockShapes shapes =
@@ -350,12 +352,15 @@ ReplicaEngine::launchStep(double now)
                                                options_.buckets)
                 : models::bucketedPrefillShapes(ctx,
                                                 options_.buckets);
-        ++shape_counts[shapes];
+        auto pos = std::lower_bound(
+            groups.begin(), groups.end(), shapes,
+            [](const runtime::StepGroup &g,
+               const models::BlockShapes &s) { return g.shapes < s; });
+        if (pos != groups.end() && pos->shapes == shapes)
+            ++pos->count;
+        else
+            groups.insert(pos, {shapes, 1});
     }
-    std::vector<runtime::StepGroup> groups;
-    groups.reserve(shape_counts.size());
-    for (const auto &[shapes, count] : shape_counts)
-        groups.push_back({shapes, count});
 
     double step_ms = cost_->stepMs(groups);
     ST_CHECK(step_ms > 0.0,

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <thread>
 
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 #include "models/bucketing.h"
 #include "runtime/executor.h"
@@ -19,6 +23,104 @@ gpt2Executor()
     static runtime::LlmExecutor executor(models::gpt2Config(),
                                          hls::u55c());
     return executor;
+}
+
+/** The 22 GPT-2 bucket shapes of the default policy: one prefill
+ *  and one decode shape per bucket boundary. */
+std::vector<models::BlockShapes>
+gpt2BucketShapes()
+{
+    models::BucketPolicy buckets;
+    std::vector<models::BlockShapes> shapes;
+    for (int64_t len : models::bucketBoundaries(buckets)) {
+        shapes.push_back(models::bucketedPrefillShapes(len, buckets));
+        shapes.push_back(models::bucketedDecodeShapes(len, buckets));
+    }
+    return shapes;
+}
+
+/** A GPT-2 executor with every bucket shape compiled. */
+runtime::LlmExecutor &
+warmBucketExecutor()
+{
+    static runtime::LlmExecutor executor(models::gpt2Config(),
+                                         hls::u55c());
+    static const bool warmed = [] {
+        std::vector<runtime::StepGroup> all;
+        for (const auto &s : gpt2BucketShapes())
+            all.push_back({s, 1});
+        (void)executor.step(all);
+        return true;
+    }();
+    (void)warmed;
+    return executor;
+}
+
+/** A random step composition: 1-8 groups over the bucket shapes,
+ *  duplicates allowed, counts 1-8, in random order. */
+std::vector<runtime::StepGroup>
+randomComposition(std::mt19937_64 &rng,
+                  const std::vector<models::BlockShapes> &shapes)
+{
+    std::uniform_int_distribution<size_t> pick(0, shapes.size() - 1);
+    std::uniform_int_distribution<int64_t> size(1, 8);
+    std::vector<runtime::StepGroup> groups(
+        static_cast<size_t>(size(rng)));
+    for (auto &g : groups)
+        g = {shapes[pick(rng)], size(rng)};
+    return groups;
+}
+
+/** The step formula as the executor first wrote it: merge through
+ *  a std::map, then per shape sum sim::batchedCycles over the
+ *  block's groups (sim::steadyIntervalCycles re-derived on every
+ *  call). The bit-identity oracle for LlmExecutor::step. */
+runtime::StepResult
+referenceStep(runtime::LlmExecutor &executor,
+              const std::vector<runtime::StepGroup> &groups)
+{
+    std::map<models::BlockShapes, int64_t> merged;
+    int64_t total_seqs = 0;
+    for (const auto &g : groups) {
+        merged[g.shapes] += g.count;
+        total_seqs += g.count;
+    }
+    const hls::FpgaPlatform &platform = executor.platform();
+    double freq_hz = platform.freq_mhz * 1e6;
+    double amort = 0.55 + 0.45 / (1.0 + total_seqs / 96.0);
+    double overhead_ms =
+        platform.invocation_overhead_us * amort / 1e3;
+    int64_t layers = executor.config().layers;
+    runtime::StepResult result;
+    for (const auto &[shapes, count] : merged) {
+        const runtime::CompiledBlock &blk = executor.block(shapes);
+        double cycles = 0.0, stall_cycles = 0.0;
+        for (const auto &s : blk.sims) {
+            cycles += sim::batchedCycles(s, count);
+            result.deadlock =
+                result.deadlock || s.deadlock || s.timed_out;
+            result.crossings += s.crossing_channels;
+            stall_cycles += s.crossing_stall_cycles;
+        }
+        result.kv_tokens += count * shapes.kv_len;
+        result.step_ms +=
+            layers * (cycles / freq_hz * 1e3 + overhead_ms);
+        result.crossing_stall_ms +=
+            layers * stall_cycles / freq_hz * 1e3;
+    }
+    return result;
+}
+
+/** Exact (bitwise for the doubles) equality of two step costs. */
+void
+expectSameStep(const runtime::StepResult &a,
+               const runtime::StepResult &b)
+{
+    EXPECT_EQ(a.step_ms, b.step_ms);
+    EXPECT_EQ(a.crossing_stall_ms, b.crossing_stall_ms);
+    EXPECT_EQ(a.crossings, b.crossings);
+    EXPECT_EQ(a.kv_tokens, b.kv_tokens);
+    EXPECT_EQ(a.deadlock, b.deadlock);
 }
 
 } // namespace
@@ -298,4 +400,91 @@ TEST(Executor, GatedPrefillStallsOnLateWeights)
 
     EXPECT_THROW(executor.gatedPrefillEndMs(32, {}, 0.0),
                  FatalError);
+}
+
+TEST(Executor, StepMatchesReferenceFormulaBitForBit)
+{
+    // Warm steps cost from terms precomputed when a block is
+    // cached, and skip the merge for already-sorted input; neither
+    // may move a single bit against the original formula.
+    runtime::LlmExecutor &executor = warmBucketExecutor();
+    auto shapes = gpt2BucketShapes();
+    ASSERT_EQ(shapes.size(), 22u);
+    std::mt19937_64 rng(0x5eed1234);
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE(trial);
+        auto groups = randomComposition(rng, shapes);
+        runtime::StepResult got = executor.step(groups);
+        expectSameStep(got, referenceStep(executor, groups));
+
+        // The merged, strictly ascending form takes the no-merge
+        // path and must agree with the shuffled input.
+        std::map<models::BlockShapes, int64_t> merged;
+        for (const auto &g : groups)
+            merged[g.shapes] += g.count;
+        std::vector<runtime::StepGroup> sorted;
+        for (const auto &[s, count] : merged)
+            sorted.push_back({s, count});
+        expectSameStep(executor.step(sorted), got);
+        std::shuffle(groups.begin(), groups.end(), rng);
+        expectSameStep(executor.step(groups), got);
+    }
+    EXPECT_EQ(executor.compileCount(), 22);
+}
+
+TEST(Executor, ColdStepEqualsWarmStep)
+{
+    // All three shapes miss on the first step (compiled
+    // concurrently on the shared pool); the repeat is all hits.
+    std::vector<runtime::StepGroup> groups = {
+        {models::decodeShapes(256), 3},
+        {models::prefillShapes(16), 1},
+        {models::decodeShapes(64), 2}};
+    runtime::LlmExecutor cold(models::gpt2Config(), hls::u55c());
+    runtime::StepResult first = cold.step(groups);
+    EXPECT_EQ(cold.compileCount(), 3);
+    expectSameStep(cold.step(groups), first);
+    expectSameStep(referenceStep(cold, groups), first);
+    EXPECT_EQ(cold.compileCount(), 3);
+
+    // The same cold step from inside a pool job: its misses
+    // compile through the nested (inline) run.
+    runtime::LlmExecutor nested(models::gpt2Config(), hls::u55c());
+    std::vector<runtime::StepResult> in_job(2);
+    support::ThreadPool::shared().run(
+        2, [&](int64_t i) { in_job[i] = nested.step(groups); });
+    EXPECT_EQ(nested.compileCount(), 3);
+    expectSameStep(in_job[0], first);
+    expectSameStep(in_job[1], first);
+}
+
+TEST(Executor, WarmStepsCompileNothing)
+{
+    runtime::LlmExecutor &executor = warmBucketExecutor();
+    auto shapes = gpt2BucketShapes();
+    int64_t compiles = executor.compileCount();
+    std::mt19937_64 rng(1009);
+    std::vector<std::vector<runtime::StepGroup>> steps(1000);
+    for (auto &groups : steps)
+        groups = randomComposition(rng, shapes);
+
+    std::vector<runtime::StepResult> direct;
+    direct.reserve(steps.size());
+    for (const auto &groups : steps)
+        direct.push_back(executor.step(groups));
+    EXPECT_EQ(executor.compileCount(), compiles);
+
+    // The same steps issued from inside pool jobs.
+    std::vector<runtime::StepResult> pooled(steps.size());
+    const int64_t jobs = 4;
+    support::ThreadPool::shared().run(jobs, [&](int64_t j) {
+        for (size_t i = static_cast<size_t>(j); i < steps.size();
+             i += static_cast<size_t>(jobs))
+            pooled[i] = executor.step(steps[i]);
+    });
+    EXPECT_EQ(executor.compileCount(), compiles);
+    for (size_t i = 0; i < steps.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectSameStep(pooled[i], direct[i]);
+    }
 }
