@@ -61,7 +61,7 @@ sweepTrace(int64_t num_requests)
 constexpr double kRealStackGapMs = 20.0;
 
 serving::FleetOptions
-sweepFleet(serving::FleetEventCore core, int64_t step_threads)
+sweepFleet(serving::FleetEventCore core)
 {
     serving::FleetOptions options;
     options.num_replicas = 4;
@@ -74,19 +74,16 @@ sweepFleet(serving::FleetEventCore core, int64_t step_threads)
     options.replica.metrics.keep_records =
         serving::MetricsOptions::KeepRecords::Never;
     options.event_core = core;
-    options.step_threads = step_threads;
     return options;
 }
 
 serving::FleetResult
-runSweep(int64_t num_requests, serving::FleetEventCore core,
-         int64_t step_threads)
+runSweep(int64_t num_requests, serving::FleetEventCore core)
 {
     serving::TraceGenerator trace(serving::TraceShape::Poisson,
                                   sweepTrace(num_requests));
     serving::AnalyticCostModel cost;
-    serving::FleetScheduler fleet(sweepFleet(core, step_threads),
-                                  cost);
+    serving::FleetScheduler fleet(sweepFleet(core), cost);
     return fleet.run(trace);
 }
 
@@ -98,7 +95,7 @@ BM_ServeMillionRequestSweep(benchmark::State &state)
     serving::FleetResult result;
     for (auto _ : state)
         result = runSweep(num_requests,
-                          serving::FleetEventCore::Heap, 1);
+                          serving::FleetEventCore::Heap);
     const serving::FleetMetrics &m = result.metrics;
     state.counters["wall_req_per_s"] = benchmark::Counter(
         static_cast<double>(num_requests) *
@@ -132,7 +129,7 @@ BM_SweepEventCore(benchmark::State &state)
     int64_t num_requests = state.range(1);
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests, core, 1);
+        result = runSweep(num_requests, core);
     state.counters["completed"] =
         static_cast<double>(result.metrics.completed);
 }
@@ -142,28 +139,6 @@ BENCHMARK(BM_SweepEventCore)
           static_cast<int64_t>(
               serving::FleetEventCore::LegacyScan)},
          {20000, 100000}})
-    ->Unit(benchmark::kMillisecond);
-
-/** Serial vs parallel replica stepping on the heap core. Results
- *  are bit-identical by contract; only the wall clock moves. On
- *  the analytic model a step costs microseconds, so this measures
- *  the pool-dispatch overhead envelope — the knob pays off only
- *  with heavyweight concurrentSafe() cost oracles. */
-void
-BM_SweepStepThreads(benchmark::State &state)
-{
-    int64_t threads = state.range(0);
-    serving::FleetResult result;
-    for (auto _ : state)
-        result = runSweep(200000,
-                          serving::FleetEventCore::Heap, threads);
-    state.counters["completed"] =
-        static_cast<double>(result.metrics.completed);
-}
-BENCHMARK(BM_SweepStepThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /** The sweep on the compiled GPT-2 stack: every step is costed by
@@ -196,7 +171,7 @@ BM_SweepRealStack(benchmark::State &state)
                                       trace_options);
         serving::ExecutorCostModel cost(executor);
         serving::FleetScheduler fleet(
-            sweepFleet(serving::FleetEventCore::Heap, 1), cost);
+            sweepFleet(serving::FleetEventCore::Heap), cost);
         result = fleet.run(trace);
     }
     const serving::FleetMetrics &m = result.metrics;

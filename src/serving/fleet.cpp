@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <queue>
 #include <set>
 #include <tuple>
@@ -13,7 +12,6 @@
 
 #include "serving/trace.h"
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace serving {
@@ -669,45 +667,15 @@ struct FleetRun
 
     FleetResult runHeap()
     {
-        // The pool is per-run and only built when asked for:
-        // serial runs must not pay thread spin-up, and a local
-        // pool keeps fleet runs independent of the process-wide
-        // shared() pool's sizing.
-        std::optional<support::ThreadPool> pool;
-        if (options.step_threads >= 2)
-            pool.emplace(options.step_threads);
-        // Parallel launches additionally need order-independent
-        // step costing; completions are always engine-local.
-        const bool launches_parallel_safe =
-            cost.concurrentSafe() &&
-            (!degraded_cost || degraded_cost->concurrentSafe());
-
         for (const auto &e : options.faults.events)
             events.push({e.at_ms, EvFault, 0, 0});
         double arrival_event_t = -1.0;
 
-        std::vector<int64_t> due;
         while (true) {
-            // 1. Step completions (committed in id order; the
-            // work itself is engine-local, so it may fan out).
-            due.clear();
-            for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
+            // 1. Step completions, in id order.
+            for (auto &eng : engines)
                 if (eng.busy() && eng.stepEndMs() <= now)
-                    due.push_back(i);
-            }
-            if (pool && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .completeStep();
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)]
-                        .completeStep();
+                    eng.completeStep();
 
             // 2. Faults.
             faultsPhase();
@@ -744,31 +712,14 @@ struct FleetRun
             // 5. Due retries.
             redispatchDue();
 
-            // 6. Launches. Costing fans out only when the cost
-            // model is order-independent; busy-state commits and
-            // completion events stay serial in id order either
-            // way.
-            due.clear();
+            // 6. Launches, in id order; each launch stages its
+            // completion event.
             for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
-                if (up[static_cast<size_t>(i)] && !eng.busy())
-                    due.push_back(i);
-            }
-            if (pool && launches_parallel_safe && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .launchStep(now);
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)].launchStep(
-                        now);
-            for (int64_t i : due) {
                 auto idx = static_cast<size_t>(i);
                 auto &eng = engines[idx];
+                if (!up[idx] || eng.busy())
+                    continue;
+                eng.launchStep(now);
                 ST_ASSERT(eng.busy() || !eng.hasWork() ||
                               eng.draining(),
                           "idle up replica refused its work");
@@ -865,8 +816,6 @@ FleetScheduler::FleetScheduler(FleetOptions options,
              "retry backoff domain");
     ST_CHECK(options_.retry_backoff_factor >= 1.0,
              "retry backoff factor domain");
-    ST_CHECK(options_.step_threads >= 1,
-             "step thread count domain");
     ST_CHECK(options_.recovery_reload_ms >= 0.0,
              "recovery reload domain");
     validateSchedulerOptions(options_.replica);

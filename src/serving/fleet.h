@@ -137,18 +137,6 @@ struct FleetOptions
 
     /** Next-event selection core. */
     FleetEventCore event_core = FleetEventCore::Heap;
-
-    /** Worker threads for replica stepping (Heap core only;
-     *  LegacyScan stays serial as the oracle). At >= 2, step
-     *  completions due at one instant always fan out across a
-     *  support::ThreadPool, and step *launches* fan out when the
-     *  cost model (and the degraded model, if any) reports
-     *  concurrentSafe() — both touch only engine-local state
-     *  between the fleet's interaction points, and completion
-     *  events are committed serially in replica-id order after
-     *  the barrier, so results are bit-identical with 1 or N
-     *  threads (pinned by the differential suite). */
-    int64_t step_threads = 1;
 };
 
 /** A request that exhausted its retry budget (or was stranded

@@ -1,6 +1,7 @@
 #include "serving/replica.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <utility>
 
@@ -34,18 +35,14 @@ poolOptionsFor(const SchedulerOptions &options, bool paged)
 void
 sortAndValidateTrace(std::vector<Request> &trace)
 {
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival_ms < b.arrival_ms ||
-                                (a.arrival_ms == b.arrival_ms &&
-                                 a.id < b.id);
-                     });
+    // Validate before sorting: a NaN arrival must never reach the
+    // comparator.
     std::set<int64_t> ids;
     for (const auto &r : trace) {
         ST_CHECK(r.input_len >= 1 && r.output_len >= 1,
                  "request lengths must be positive");
-        ST_CHECK(r.arrival_ms >= 0.0,
-                 "arrivals must be non-negative");
+        ST_CHECK(std::isfinite(r.arrival_ms) && r.arrival_ms >= 0.0,
+                 "arrivals must be finite and non-negative");
         ST_CHECK(r.deadline_ms >= 0.0,
                  "deadlines must be non-negative");
         ST_CHECK(r.prefix_id >= 0 && r.prefix_len >= 0 &&
@@ -55,6 +52,12 @@ sortAndValidateTrace(std::vector<Request> &trace)
         ST_CHECK(ids.insert(r.id).second,
                  "trace ids must be unique");
     }
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ms < b.arrival_ms ||
+                                (a.arrival_ms == b.arrival_ms &&
+                                 a.id < b.id);
+                     });
 }
 
 void
@@ -363,8 +366,9 @@ ReplicaEngine::launchStep(double now)
     }
 
     double step_ms = cost_->stepMs(groups);
-    ST_CHECK(step_ms > 0.0,
-             "cost model must advance simulated time");
+    ST_CHECK(std::isfinite(step_ms) && step_ms > 0.0,
+             "cost model must advance simulated time by a finite "
+             "amount");
     step_ms *= slow_factor_;
 
     // Cold start: a step launched while the weight stream is in

@@ -89,14 +89,7 @@ class StepCostModel
     virtual double
     stepMs(const std::vector<runtime::StepGroup> &groups) = 0;
 
-    /** True when concurrent stepMs() calls are safe AND
-     *  order-independent — a pure function of the groups, with no
-     *  mutable state whose update order could leak into results.
-     *  Gates the fleet's parallel step launching
-     *  (FleetOptions::step_threads): a model accumulating
-     *  floating-point state (e.g. ExecutorCostModel's crossing
-     *  stall sum) must keep the default false, or reordered
-     *  accumulation would break bit-identical replay. */
+    // No caller; kept for perfbench's TimedCost, which overrides it.
     virtual bool concurrentSafe() const { return false; }
 };
 
@@ -206,7 +199,13 @@ struct SchedulerOptions
      *     model or workload kept residents alive past the budget —
      *     in_flight may then be nonzero even while draining.
      *
-     *  Pinned by Scheduler.DrainDeadlineStepLimitInteraction. */
+     *  Pinned by Scheduler.DrainDeadlineStepLimitInteraction.
+     *
+     *  A calm 1-replica FleetScheduler matches this scheduler step
+     *  for step (FleetDifferential.SingleReplicaMatchesScheduler)
+     *  with two known gaps: the fleet ignores drain_at_ms and
+     *  drains only on a FaultPlan event, and it stamps ingest-time
+     *  rejections differently (RejectedRequest::at_ms). */
     double drain_at_ms = -1.0;
 
     /** Cold-start weight streaming (empty plan = warm start). */
@@ -263,7 +262,10 @@ struct RejectedRequest
 
     /** Simulated time the rejection was decided: ingest time for
      *  TooLong/QueueFull/Drained arrivals, the expiry sweep for
-     *  DeadlineExpired, drain entry for a shed queue. */
+     *  DeadlineExpired, drain entry for a shed queue. The
+     *  Scheduler ingests only between steps, so its ingest time is
+     *  the end of the step in flight at arrival; the fleet ingests
+     *  at the arrival instant itself. */
     double at_ms = 0.0;
 };
 

@@ -5,7 +5,6 @@
 
 #include "support/error.h"
 #include "support/math_util.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace serving {
@@ -127,23 +126,6 @@ WeightStreamer::plan(const ModelArtifact &artifact,
                  static_cast<int64_t>(tasks.size()));
     int64_t num_tasks = static_cast<int64_t>(tasks.size());
 
-    // Per-reader timelines: reader r services chunks r, r+R, ...
-    // sequentially; each completion is a prefix sum of tier chunk
-    // times. Pure arithmetic per reader, so fanning the readers
-    // out over the shared pool cannot change a single bit.
-    std::vector<std::vector<double>> done(
-        static_cast<size_t>(readers));
-    support::ThreadPool::shared().run(readers, [&](int64_t r) {
-        auto &mine = done[static_cast<size_t>(r)];
-        double t = start_ms;
-        for (int64_t k = r; k < num_tasks; k += readers) {
-            t += chunkServiceMs(
-                options_.tier,
-                tasks[static_cast<size_t>(k)].bytes, readers);
-            mine.push_back(t);
-        }
-    });
-
     WeightStreamPlan plan;
     plan.model = artifact.model;
     plan.tier = options_.tier.name;
@@ -152,15 +134,20 @@ WeightStreamer::plan(const ModelArtifact &artifact,
     plan.chunks = num_tasks;
     plan.bytes_total = artifact.total_bytes;
     plan.layer_ready_ms.assign(artifact.layers.size(), start_ms);
+
+    // Reader r services chunks r, r+R, ... sequentially: each
+    // completion is a running sum of tier chunk times on that
+    // reader's own clock. The readers overlap in simulated time
+    // only, so one pass over the chunks computes every timeline.
+    std::vector<double> reader_ms(static_cast<size_t>(readers),
+                                  start_ms);
     for (int64_t k = 0; k < num_tasks; ++k) {
-        auto layer =
-            static_cast<size_t>(tasks[static_cast<size_t>(k)]
-                                    .layer);
-        double finished =
-            done[static_cast<size_t>(k % readers)]
-                [static_cast<size_t>(k / readers)];
+        const Chunk &chunk = tasks[static_cast<size_t>(k)];
+        double &t = reader_ms[static_cast<size_t>(k % readers)];
+        t += chunkServiceMs(options_.tier, chunk.bytes, readers);
+        auto layer = static_cast<size_t>(chunk.layer);
         plan.layer_ready_ms[layer] =
-            std::max(plan.layer_ready_ms[layer], finished);
+            std::max(plan.layer_ready_ms[layer], t);
     }
     // A layer is usable only with all its predecessors resident:
     // the watermark is the prefix max.

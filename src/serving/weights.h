@@ -17,20 +17,19 @@
  *     in layer order — the unit of one storage read;
  *   - *assigner*: chunk k goes to reader k mod num_readers — a
  *     fixed round-robin, so the assignment is a pure function of
- *     the manifest and the options, never of thread scheduling;
+ *     the manifest and the options;
  *   - *readers*: each reader services its chunks sequentially;
  *     per-chunk time comes from chunkServiceMs (storage_tier.h)
  *     with all readers contending for the tier.
  *
- * The per-reader timelines are *computed* on support::ThreadPool
- * (each reader's completions are an independent prefix sum), but
- * every completion instant is pure arithmetic over the options —
- * the pool only parallelises the computation, so plans are
- * bit-identical across reruns and pool sizes. The merged result is
- * the per-layer ready watermark: layer_ready_ms[l] is the instant
- * every chunk of layers 0..l has landed in HBM, which is what
- * gates a block trigger during a streamed cold start (a layer may
- * fire once its weights — and its predecessors' — are resident).
+ * The readers run concurrently in simulated time only: every
+ * completion instant is pure arithmetic over the manifest and the
+ * options, computed in one pass, so plans are bit-identical across
+ * reruns. The merged result is the per-layer ready watermark:
+ * layer_ready_ms[l] is the instant every chunk of layers 0..l has
+ * landed in HBM, which is what gates a block trigger during a
+ * streamed cold start (a layer may fire once its weights — and its
+ * predecessors' — are resident).
  */
 
 #ifndef STREAMTENSOR_SERVING_WEIGHTS_H
@@ -149,8 +148,8 @@ class WeightStreamer
      *  tensor, assign chunks round-robin to readers, service each
      *  reader's chunks sequentially at the tier's chunk time, and
      *  merge the completions into the per-layer watermark.
-     *  Deterministic — bit-identical across reruns and thread
-     *  counts (see the file header). */
+     *  Deterministic — bit-identical across reruns (see the file
+     *  header). */
     WeightStreamPlan plan(const ModelArtifact &artifact,
                           double start_ms = 0.0) const;
 

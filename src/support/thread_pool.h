@@ -1,9 +1,9 @@
 /**
  * @file
- * A small process-wide thread pool for coarse, independent tasks:
- * the simulator fans fused groups across it (sim::simulateAll) and
- * the runtime executor reuses the same pool to compile + simulate
- * the prefill and decode block shapes concurrently.
+ * A small process-wide thread pool for coarse, independent tasks.
+ * Its two users: sim::simulateAll fans fused groups across it, and
+ * the runtime executor's resolve() compiles + simulates its missing
+ * block shapes concurrently on the same pool.
  *
  * Deliberately minimal: one parallel-for style job at a time
  * (concurrent top-level submitters serialize), the caller

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -119,6 +120,13 @@ TEST(FaultInjector, RejectsMalformedEvents)
         serving::FaultPlan plan;
         plan.events.push_back(
             {1.0, 0, FaultKind::SlowStart, 0.0});
+        EXPECT_THROW(serving::FaultInjector{std::move(plan)},
+                     FatalError);
+    }
+    {
+        serving::FaultPlan plan;
+        plan.events.push_back({1.0, 0, FaultKind::SlowStart,
+                               std::numeric_limits<double>::infinity()});
         EXPECT_THROW(serving::FaultInjector{std::move(plan)},
                      FatalError);
     }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "models/bucketing.h"
 #include "serving/cost_model.h"
@@ -613,6 +614,20 @@ TEST(Scheduler, RejectsMalformedTracesAndOptions)
                  FatalError);
     EXPECT_THROW(scheduler.run({makeRequest(0, 0.0, 8, 1),
                                 makeRequest(0, 1.0, 8, 1)}),
+                 FatalError);
+    // Non-finite inputs break conservation: an arrival at +inf
+    // stretches the makespan to +inf here and vanishes
+    // unaccounted in a fleet, and a +inf step never completes.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(scheduler.run({makeRequest(0, 0.0, 8, 1),
+                                makeRequest(1, inf, 8, 1)}),
+                 FatalError);
+    serving::AnalyticCostOptions inf_options;
+    inf_options.trigger_ms = inf;
+    serving::AnalyticCostModel inf_cost(inf_options);
+    serving::Scheduler inf_scheduler(recordingOptions(2, 4096),
+                                     inf_cost);
+    EXPECT_THROW(inf_scheduler.run({makeRequest(0, 0.0, 8, 1)}),
                  FatalError);
     serving::SchedulerOptions bad;
     bad.max_batch = 0;
